@@ -308,7 +308,7 @@ type SegmentIndex = index.SegmentIndex
 // operator pipeline — pages decode lazily and column-selectively, with
 // sargable predicates pushed down into the page codec — and report their
 // physical I/O. Results are byte-identical to the plain-row reference
-// executor. SetEagerDecode(true) restores the full-decode baseline.
+// executor.
 type SegmentStore = exec.Store
 
 // ExecResult is an executed query's output (rows plus, for segment-backed

@@ -9,6 +9,7 @@ import (
 	"cadb/internal/compress"
 	"cadb/internal/datagen"
 	"cadb/internal/index"
+	"cadb/internal/sqlparse"
 	"cadb/internal/storage"
 	"cadb/internal/workload"
 	"cadb/internal/workloads"
@@ -331,4 +332,25 @@ func TestStoreStalenessAfterWrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertResultsIdentical(t, "after-delete", after, wantAfter)
+}
+
+// TestStoreUnknownTableErrors pins the unknown-table guard: a query over a
+// table the catalog lacks must come back as an error from the store, as it
+// does from the oracle, never as a panic.
+func TestStoreUnknownTableErrors(t *testing.T) {
+	wl, err := sqlparse.ParseScript("SELECT * FROM nosuch;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStore(testDB(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	query := wl.Statements[0].Query
+	if _, err := Run(testDB(), query); err == nil {
+		t.Fatal("oracle accepted a query over an unknown table")
+	}
+	if _, err := st.RunQuery(query); err == nil {
+		t.Fatal("store accepted a query over an unknown table")
+	}
 }

@@ -42,6 +42,29 @@ func singleBatch(schema *storage.Schema, rows []storage.Row) *rowStream {
 	}}
 }
 
+// cursorStream adapts a batch cursor to a rowStream, mapping each batch's
+// rows through conv (nil passes them through as decoded).
+func cursorStream(schema *storage.Schema, cur index.BatchSource, conv func([]storage.Row) []storage.Row) *rowStream {
+	return &rowStream{schema: schema, close: cur.Close, next: func() ([]storage.Row, error) {
+		b, err := cur.NextBatch()
+		if err != nil || b == nil {
+			return nil, err
+		}
+		if conv != nil {
+			return conv(b.Rows), nil
+		}
+		return b.Rows, nil
+	}}
+}
+
+// abort releases the stream's cursor resources when the consumer stops
+// before exhaustion.
+func (s *rowStream) abort() {
+	if s.close != nil {
+		s.close()
+	}
+}
+
 // forEach drains the stream through fn, releasing cursor resources if fn
 // aborts the drain.
 func (s *rowStream) forEach(fn func(storage.Row) error) error {
@@ -55,9 +78,7 @@ func (s *rowStream) forEach(fn func(storage.Row) error) error {
 		}
 		for _, r := range batch {
 			if err := fn(r); err != nil {
-				if s.close != nil {
-					s.close()
-				}
+				s.abort()
 				return err
 			}
 		}
@@ -134,20 +155,13 @@ func projectSchema(s *storage.Schema, ords []int) *storage.Schema {
 	return storage.NewSchema(cols...)
 }
 
-// accessStream opens the driving-table stream for a statement, picking the
-// same access path the eager access() would (the plan logic is shared) but
-// decoding lazily, column-selectively and with predicate pushdown. ordered
-// asks for insertion-order delivery; paths that are naturally RID-ordered
-// (heap scans, RID lookups) ignore it, key-ordered covering serves restore
-// order by merging on the carried RID only when asked.
+// accessStream opens the driving-table stream for a statement over the
+// access path planAccess picks, decoding lazily, column-selectively and with
+// predicate pushdown. ordered asks for insertion-order delivery; paths that
+// are naturally RID-ordered (heap scans, RID lookups) ignore it, key-ordered
+// covering serves restore order by sorting on the carried RID only when
+// asked.
 func (st *Store) accessStream(rs *runState, table string, preds []workload.Predicate, needed []string, ordered bool) (*rowStream, error) {
-	if st.eager {
-		schema, rows, err := st.access(rs, table, preds, needed)
-		if err != nil {
-			return nil, err
-		}
-		return singleBatch(schema, rows), nil
-	}
 	heap, best, err := st.planAccess(table, preds, needed)
 	if err != nil {
 		return nil, err
@@ -175,13 +189,7 @@ func (st *Store) heapScanStream(rs *runState, table string, heap *index.SegmentI
 	parts := st.effectiveScanParts(heap.Seg)
 	cur := heap.ParallelScanCursor(parts, spec, &rs.io, rs.pfWindow, rs.pfWorkers)
 	rs.paths = append(rs.paths, fmt.Sprintf("seg-scan %s (%d pages)", table, heap.Seg.NumPages()))
-	return &rowStream{schema: projectSchema(hs, ords), close: cur.Close, next: func() ([]storage.Row, error) {
-		b, err := cur.NextBatch()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		return b.Rows, nil
-	}}
+	return cursorStream(projectSchema(hs, ords), cur, nil)
 }
 
 // coveringStream serves the statement from a key-ordered structure whose
@@ -228,38 +236,18 @@ func (st *Store) coveringStream(rs *runState, table string, best *candidate, pre
 	if !ordered {
 		// Canonicalizing consumers don't care about row order: stream page
 		// batches straight through, skipping order restoration entirely.
-		return &rowStream{schema: outSchema, close: cur.Close, next: func() ([]storage.Row, error) {
-			b, err := cur.NextBatch()
-			if err != nil || b == nil {
-				return nil, err
-			}
-			return strip(b.Rows), nil
-		}}, nil
+		return cursorStream(outSchema, cur, strip), nil
 	}
 	// Insertion-order restoration: the structure delivers key order, so drain
-	// and merge on the carried RID before handing rows downstream.
-	type tagged struct {
-		rid int64
-		row storage.Row
+	// and sort on the carried RID before handing rows downstream.
+	var rows []storage.Row
+	if err := cursorStream(nil, cur, nil).forEach(func(r storage.Row) error {
+		rows = append(rows, r)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
-	var all []tagged
-	for {
-		b, err := cur.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		for _, r := range b.Rows {
-			all = append(all, tagged{rid: r[ridPos].Int, row: r})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].rid < all[j].rid })
-	rows := make([]storage.Row, len(all))
-	for i, t := range all {
-		rows[i] = t.row
-	}
+	sort.Slice(rows, func(i, j int) bool { return rows[i][ridPos].Int < rows[j][ridPos].Int })
 	return singleBatch(outSchema, strip(rows)), nil
 }
 
@@ -280,17 +268,11 @@ func (st *Store) lookupStream(rs *runState, table string, heap *index.SegmentInd
 	cur := best.si.PageRangeCursor(best.lo, best.hi, spec, &rs.io)
 	cur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
 	var rids []int64
-	for {
-		b, err := cur.NextBatch()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		for _, r := range b.Rows {
-			rids = append(rids, r[0].Int)
-		}
+	if err := cursorStream(nil, cur, nil).forEach(func(r storage.Row) error {
+		rids = append(rids, r[0].Int)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	sort.Slice(rids, func(i, j int) bool { return rids[i] < rids[j] })
 	if best.score+distinctHeapPages(heap, rids) >= heap.Seg.PhysicalPages() {
@@ -303,11 +285,5 @@ func (st *Store) lookupStream(rs *runState, table string, heap *index.SegmentInd
 	hcur.EnablePrefetch(rs.pfWindow, rs.pfWorkers)
 	rs.paths = append(rs.paths, fmt.Sprintf("seg-index-seek+lookup %s via %s (%d of %d pages, %d lookups)",
 		table, best.h.id, best.hi-best.lo, best.si.Seg.NumPages(), len(rids)))
-	return &rowStream{schema: projectSchema(hs, ords), close: hcur.Close, next: func() ([]storage.Row, error) {
-		b, err := hcur.NextBatch()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		return b.Rows, nil
-	}}, nil
+	return cursorStream(projectSchema(hs, ords), hcur, nil), nil
 }

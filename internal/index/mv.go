@@ -24,14 +24,7 @@ func MaterializeMV(db *catalog.Database, mv *MVDef) (*storage.Schema, []storage.
 // override; the sampling subsystem passes a fact sample here to build MV
 // samples over join synopses (Appendix B).
 func MaterializeMVOver(db *catalog.Database, mv *MVDef, factSchema *storage.Schema, factRows []storage.Row) (*storage.Schema, []storage.Row, error) {
-	return MaterializeMVWith(db, mv, factSchema, factRows, nil)
-}
-
-// MaterializeMVWith additionally routes dimension-table access through fetch
-// (see JoinRowsWith) — the segment-backed executor materializes aggregates
-// with every table read served from the page store.
-func MaterializeMVWith(db *catalog.Database, mv *MVDef, factSchema *storage.Schema, factRows []storage.Row, fetch TableFetch) (*storage.Schema, []storage.Row, error) {
-	schema, rows, err := JoinRowsWith(db, mv.Fact, factSchema, factRows, mv.Joins, fetch)
+	schema, rows, err := JoinRowsFrom(db, mv.Fact, factSchema, factRows, mv.Joins)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -64,7 +57,8 @@ func JoinRows(db *catalog.Database, fact string, joins []workload.Join) (*storag
 
 // TableFetch overrides where a table's rows come from during joins; nil
 // falls back to the catalog's in-memory rows. The segment-backed executor
-// supplies a fetch that decodes pages (and counts the reads).
+// supplies a fetch that scans the table's heap segment (and counts the
+// reads).
 type TableFetch func(table string) (*storage.Schema, []storage.Row, error)
 
 // JoinRowsFrom is JoinRows but with an optional row override for the fact
@@ -72,11 +66,6 @@ type TableFetch func(table string) (*storage.Schema, []storage.Row, error)
 // join a fact-table sample against the full dimension tables (join synopses,
 // Appendix B.2).
 func JoinRowsFrom(db *catalog.Database, fact string, factSchema *storage.Schema, factRows []storage.Row, joins []workload.Join) (*storage.Schema, []storage.Row, error) {
-	return JoinRowsWith(db, fact, factSchema, factRows, joins, nil)
-}
-
-// JoinRowsWith is JoinRowsFrom with dimension access routed through fetch.
-func JoinRowsWith(db *catalog.Database, fact string, factSchema *storage.Schema, factRows []storage.Row, joins []workload.Join, fetch TableFetch) (*storage.Schema, []storage.Row, error) {
 	ft := db.Table(fact)
 	if ft == nil {
 		return nil, nil, fmt.Errorf("index: unknown fact table %q", fact)
@@ -84,7 +73,7 @@ func JoinRowsWith(db *catalog.Database, fact string, factSchema *storage.Schema,
 	if factSchema == nil {
 		factSchema, factRows = ft.Schema, ft.Rows
 	}
-	jn, err := NewJoiner(db, fact, factSchema, joins, fetch)
+	jn, err := NewJoiner(db, fact, factSchema, joins, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -97,7 +86,7 @@ func JoinRowsWith(db *catalog.Database, fact string, factSchema *storage.Schema,
 	return jn.Schema(), out, nil
 }
 
-// Joiner is the streaming form of JoinRowsWith: the dimension hash tables
+// Joiner is the streaming form of JoinRowsFrom: the dimension hash tables
 // are built once up front, then fact rows widen one at a time. Both the
 // plain-row oracle and the segment-backed executor run their rows through
 // this same probe code, so join behavior (and the resulting float-sum

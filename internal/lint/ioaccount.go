@@ -4,8 +4,8 @@ package lint
 // pool-aware cost model) is only meaningful if the measured side is
 // trustworthy, and it is trustworthy because storage.IOStats counters are
 // mutated at a handful of chokepoints — the page-fetch pin site, the codec
-// decode accounting in runState.readPage / Cursor.NextBatch, prefetcher
-// flush, and the IOStats.Add reducer. A counter bumped anywhere else is a
+// decode accounting in Cursor.NextBatch, prefetcher flush, and the
+// IOStats.Add reducer. A counter bumped anywhere else is a
 // smuggled number that silently skews every ratio the benchmarks report.
 // This check flags any write (assignment, op-assignment, ++/--) to a field
 // of storage.IOStats outside the allowlisted chokepoint functions.

@@ -96,7 +96,6 @@ var (
 		"cadb/internal/storage.(*IOStats).Add",
 		"cadb/internal/storage.(*Segment).FetchPage",
 		"cadb/internal/storage.(*Prefetcher).Close",
-		"cadb/internal/exec.(*runState).readPage",
 		"cadb/internal/index.(*Cursor).NextBatch",
 	}
 

@@ -183,3 +183,34 @@ func TestRealModuleClean(t *testing.T) {
 		t.Errorf("finding on real module: %s", f)
 	}
 }
+
+// TestDefaultAllowlistsNameRealFuncs keeps the allowlists honest: every
+// DefaultIOChokepoints and DefaultFanoutFuncs entry must name a function
+// declared in the module, so an entry cannot outlive the code it exempts.
+func TestDefaultAllowlistsNameRealFuncs(t *testing.T) {
+	mod, err := LoadModule(".")
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	pkgs, err := mod.Packages()
+	if err != nil {
+		t.Fatalf("Packages: %v", err)
+	}
+	declared := make(map[string]bool)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			for _, d := range f.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok {
+					declared[qualifiedFuncName(pkg.ImportPath, fd)] = true
+				}
+			}
+		}
+	}
+	for _, list := range [][]string{DefaultIOChokepoints, DefaultFanoutFuncs} {
+		for _, name := range list {
+			if !declared[name] {
+				t.Errorf("allowlist entry %s names no function in the module", name)
+			}
+		}
+	}
+}
