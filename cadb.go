@@ -113,7 +113,7 @@ type PageCodec = storage.PageCodec
 // IndexDef.ColMethods). Uniform NONE/ROW/PAGE designs collapse to the
 // stateless row-major codecs; everything else is served by the column-major
 // codec, whose per-segment state (the global dictionaries) rides in the
-// CADBSEG2 file format.
+// design and state blocks of the CADBSEG2 file header.
 func DesignCodec(def CompressionMethod, overrides map[string]CompressionMethod) PageCodec {
 	return compress.DesignCodec(def, overrides)
 }

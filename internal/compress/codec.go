@@ -8,8 +8,9 @@ import (
 	"cadb/internal/storage"
 )
 
-// This file holds the materializing page codecs: the encode/decode halves of
-// the compression methods whose sizes SizeRows models. NONE and ROW produce
+// This file holds the materializing page codecs: the encode halves of the
+// compression methods whose sizes SizeRows models (their one decode entry
+// point, DecodeColumns, is in decode_columns.go). NONE and ROW produce
 // byte totals identical to their size model by construction. PAGE shares the
 // model's dictionary policy (suffixes occurring at least twice) but diverges
 // from it in two expected ways: it packs pages by compressed fit (the model
@@ -137,19 +138,6 @@ func (noneCodec) EncodeRows(s *storage.Schema, rows []storage.Row) ([]storage.En
 	return out, nil
 }
 
-func (noneCodec) DecodePage(s *storage.Schema, payload []byte, nrows int) ([]storage.Row, error) {
-	out := make([]storage.Row, 0, nrows)
-	for len(out) < nrows {
-		r, n, err := storage.DecodeRow(s, payload)
-		if err != nil {
-			return nil, err
-		}
-		payload = payload[n:]
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // ---------------------------------------------------------------------------
 // ROW: null/blank suppression with per-value minimal encodings
 
@@ -215,41 +203,6 @@ func (rowCodec) EncodeRows(s *storage.Schema, rows []storage.Row) ([]storage.Enc
 		used += sz
 	}
 	flush()
-	return out, nil
-}
-
-func (rowCodec) DecodePage(s *storage.Schema, payload []byte, nrows int) ([]storage.Row, error) {
-	bitmapLen := (len(s.Columns) + 7) / 8
-	out := make([]storage.Row, 0, nrows)
-	for len(out) < nrows {
-		if len(payload) < bitmapLen {
-			return nil, fmt.Errorf("compress: short ROW page")
-		}
-		bitmap := payload[:bitmapLen]
-		payload = payload[bitmapLen:]
-		row := make(storage.Row, len(s.Columns))
-		for i, c := range s.Columns {
-			if bitmap[i/8]&(1<<(uint(i)%8)) != 0 {
-				row[i] = storage.NullValue(c.Kind)
-				continue
-			}
-			n, adv, err := readLenPrefix(payload)
-			if err != nil {
-				return nil, err
-			}
-			payload = payload[adv:]
-			if len(payload) < n {
-				return nil, fmt.Errorf("compress: short ROW value")
-			}
-			v, err := decodeValueBytes(c, payload[:n])
-			if err != nil {
-				return nil, err
-			}
-			payload = payload[n:]
-			row[i] = v
-		}
-		out = append(out, row)
-	}
 	return out, nil
 }
 
@@ -455,102 +408,4 @@ func appendPageColumn(payload []byte, c storage.Column, rows []storage.Row, ci i
 		}
 	}
 	return payload, nil
-}
-
-func (pageCodec) DecodePage(s *storage.Schema, payload []byte, nrows int) ([]storage.Row, error) {
-	if len(payload) < 2 {
-		return nil, fmt.Errorf("compress: short PAGE page")
-	}
-	n := int(binary.BigEndian.Uint16(payload[:2]))
-	payload = payload[2:]
-	if n != nrows {
-		return nil, fmt.Errorf("compress: PAGE header says %d rows, directory says %d", n, nrows)
-	}
-	bitmapLen := (n + 7) / 8
-	out := make([]storage.Row, n)
-	for j := range out {
-		out[j] = make(storage.Row, len(s.Columns))
-	}
-	for ci, c := range s.Columns {
-		if len(payload) < bitmapLen {
-			return nil, fmt.Errorf("compress: short PAGE null bitmap")
-		}
-		nulls := payload[:bitmapLen]
-		payload = payload[bitmapLen:]
-		pn, adv, err := readLenPrefix(payload)
-		if err != nil {
-			return nil, err
-		}
-		payload = payload[adv:]
-		if len(payload) < pn {
-			return nil, fmt.Errorf("compress: short PAGE prefix")
-		}
-		prefix := string(payload[:pn])
-		payload = payload[pn:]
-		if len(payload) < 2 {
-			return nil, fmt.Errorf("compress: short PAGE dictionary count")
-		}
-		dictCount := int(binary.BigEndian.Uint16(payload[:2]))
-		payload = payload[2:]
-		dict := make([]string, dictCount)
-		for i := range dict {
-			dn, adv, err := readLenPrefix(payload)
-			if err != nil {
-				return nil, err
-			}
-			payload = payload[adv:]
-			if len(payload) < dn {
-				return nil, fmt.Errorf("compress: short PAGE dictionary entry")
-			}
-			dict[i] = string(payload[:dn])
-			payload = payload[dn:]
-		}
-		codeSize := 1
-		if dictCount > 255 {
-			codeSize = 2
-		}
-		if len(payload) < bitmapLen {
-			return nil, fmt.Errorf("compress: short PAGE dictionary bitmap")
-		}
-		coded := payload[:bitmapLen]
-		payload = payload[bitmapLen:]
-		for j := 0; j < n; j++ {
-			if nulls[j/8]&(1<<(uint(j)%8)) != 0 {
-				out[j][ci] = storage.NullValue(c.Kind)
-				continue
-			}
-			var suffix string
-			if coded[j/8]&(1<<(uint(j)%8)) != 0 {
-				if len(payload) < codeSize {
-					return nil, fmt.Errorf("compress: short PAGE code")
-				}
-				code := int(payload[0])
-				if codeSize == 2 {
-					code = code<<8 | int(payload[1])
-				}
-				payload = payload[codeSize:]
-				if code >= dictCount {
-					return nil, fmt.Errorf("compress: PAGE code %d out of range", code)
-				}
-				suffix = dict[code]
-			} else {
-				ln, adv, err := readLenPrefix(payload)
-				if err != nil {
-					return nil, err
-				}
-				payload = payload[adv:]
-				if len(payload) < ln {
-					return nil, fmt.Errorf("compress: short PAGE literal")
-				}
-				suffix = string(payload[:ln])
-				payload = payload[ln:]
-			}
-			v, err := decodeValueBytes(c, []byte(prefix+suffix))
-			if err != nil {
-				return nil, err
-			}
-			out[j][ci] = v
-		}
-	}
-	return out, nil
 }

@@ -254,6 +254,9 @@ func (cc *columnCodec) LoadSegmentState(s *storage.Schema, state []byte) error {
 			}
 			count := int(binary.BigEndian.Uint32(state))
 			state = state[4:]
+			if count > len(state) {
+				return fmt.Errorf("compress: %d dictionary entries in %d state bytes at column %d", count, len(state), ci)
+			}
 			st.vals = make([]string, 0, count)
 			for k := 0; k < count; k++ {
 				n, adv, err := readLenPrefix(state)
@@ -605,16 +608,6 @@ func appendRLESection(dst []byte, c storage.Column, rows []storage.Row, ci int, 
 
 // ---------------------------------------------------------------------------
 // Decoding
-
-// DecodePage reconstructs every row of a page — a non-selective decode
-// expressed through the column-selective path.
-func (cc *columnCodec) DecodePage(s *storage.Schema, payload []byte, nrows int) ([]storage.Row, error) {
-	out, err := cc.DecodeColumns(s, payload, nrows, &storage.DecodeSpec{Needed: s.AllOrdinals()})
-	if err != nil {
-		return nil, err
-	}
-	return out.Rows, nil
-}
 
 // parseSections splits the page payload into per-column section bodies up to
 // and including column last.

@@ -10,13 +10,13 @@ import (
 	"cadb/internal/storage"
 )
 
-// This file implements the column-selective half of the codec contract.
-// NONE and ROW are row-major formats: a value cannot be located without
-// walking every column of every preceding row, so a selective decode still
-// scans every column's bytes of every row — TuplesDecoded and ColumnsDecoded
-// charge the full page, exactly like a full decode — but values outside
+// This file implements DecodeColumns, the one decode entry point of the
+// NONE, ROW and PAGE codecs. NONE and ROW are row-major formats: a value
+// cannot be located without walking every column of every preceding row, so
+// a selective decode still scans every column's bytes of every row —
+// TuplesDecoded and ColumnsDecoded charge the full page — but values outside
 // spec.Needed and the predicate columns are skipped over instead of
-// materialized, which avoids the per-row allocations a full decode pays.
+// materialized.
 // PAGE is column-major with per-page metadata, which enables three shortcuts,
 // in increasing cost:
 //
@@ -50,6 +50,15 @@ type rowMajorEmit struct {
 	slab []storage.Value
 	used int
 	si   int // cursor into spec.Slots
+}
+
+// checkRowMajorRows rejects a row count a row-major payload cannot hold —
+// every row starts with its null bitmap — before anything is sized from it.
+func checkRowMajorRows(nrows, bitmapLen int, payload []byte) error {
+	if nrows < 0 || (bitmapLen > 0 && nrows > len(payload)/bitmapLen) {
+		return fmt.Errorf("compress: %d rows cannot fit a %d-byte page", nrows, len(payload))
+	}
+	return nil
 }
 
 func newRowMajorEmit(s *storage.Schema, spec *storage.DecodeSpec, nrows int, out *storage.DecodedPage) *rowMajorEmit {
@@ -92,12 +101,15 @@ func (e *rowMajorEmit) emit(slot int, tmp storage.Row) {
 
 func (noneCodec) DecodeColumns(s *storage.Schema, payload []byte, nrows int, spec *storage.DecodeSpec) (*storage.DecodedPage, error) {
 	// A row-major decode walks every row and every column's bytes; the
-	// counters charge the full page exactly like FallbackDecodeColumns.
+	// counters charge the full page.
 	out := &storage.DecodedPage{
 		TuplesDecoded:  int64(nrows),
 		ColumnsDecoded: int64(len(s.Columns)),
 	}
 	bitmapLen := (len(s.Columns) + 7) / 8
+	if err := checkRowMajorRows(nrows, bitmapLen, payload); err != nil {
+		return nil, err
+	}
 	use := decodeMask(s, spec)
 	tmp := make(storage.Row, len(s.Columns))
 	e := newRowMajorEmit(s, spec, nrows, out)
@@ -182,6 +194,9 @@ func (rowCodec) DecodeColumns(s *storage.Schema, payload []byte, nrows int, spec
 		ColumnsDecoded: int64(len(s.Columns)),
 	}
 	bitmapLen := (len(s.Columns) + 7) / 8
+	if err := checkRowMajorRows(nrows, bitmapLen, payload); err != nil {
+		return nil, err
+	}
 	use := decodeMask(s, spec)
 	tmp := make(storage.Row, len(s.Columns))
 	e := newRowMajorEmit(s, spec, nrows, out)

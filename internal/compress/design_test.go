@@ -62,7 +62,7 @@ func TestMixedDesignSelectiveDecode(t *testing.T) {
 		}
 		for trial := 0; trial < 40; trial++ {
 			spec := randomSpec(rng, s, rows)
-			assertSelectiveDecode(t, seg, spec, fmt.Sprintf("%s trial %d", d.name, trial))
+			assertSelectiveDecode(t, seg, rows, spec, fmt.Sprintf("%s trial %d", d.name, trial))
 		}
 	}
 }
@@ -294,11 +294,11 @@ func TestSegmentStateRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := fresh.DecodePage(s, payload, seg.PageRows(p))
+		got, err := fresh.DecodeColumns(s, payload, seg.PageRows(p), &storage.DecodeSpec{Needed: s.AllOrdinals()})
 		if err != nil {
-			t.Fatalf("page %d: DecodePage after state reload: %v", p, err)
+			t.Fatalf("page %d: DecodeColumns after state reload: %v", p, err)
 		}
-		for _, r := range got {
+		for _, r := range got.Rows {
 			if !bytes.Equal(canonical(s, r), canonical(s, rows[at])) {
 				t.Fatalf("page %d: row %d mismatch after state reload", p, at)
 			}
@@ -328,30 +328,15 @@ func fixtureRows() []storage.Row { return genCodecRows(300, 0.2, 99) }
 
 // TestCADBSEG1Fixture reads the committed version-1 segment file and checks
 // it still opens and decodes byte-identically — the backward-compat contract
-// OpenSegmentFile keeps while new stateful codecs write CADBSEG2. Regenerate
-// with CADB_REGEN_FIXTURES=1 only when intentionally breaking the format.
+// OpenSegmentFile keeps now that every writer emits CADBSEG2. Version 1 can
+// no longer be written, so the fixture is frozen.
 func TestCADBSEG1Fixture(t *testing.T) {
 	s := codecSchema()
 	rows := fixtureRows()
 	path := filepath.Join("testdata", "v1_row.cadbseg")
-	if os.Getenv("CADB_REGEN_FIXTURES") == "1" {
-		seg, err := storage.BuildSegment(s, rows, Codec(Row))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		sf, err := storage.WriteSegmentFile(path, seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sf.Close()
-		t.Logf("regenerated %s", path)
-	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("missing committed fixture (regenerate with CADB_REGEN_FIXTURES=1): %v", err)
+		t.Fatalf("missing committed fixture: %v", err)
 	}
 	if !bytes.HasPrefix(raw, []byte("CADBSEG1")) {
 		t.Fatalf("fixture is not a version-1 file (magic %q)", raw[:8])
@@ -376,11 +361,11 @@ func TestCADBSEG1Fixture(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Codec(Row).DecodePage(s, payload, sf.PageRows(p))
+		got, err := Codec(Row).DecodeColumns(s, payload, sf.PageRows(p), &storage.DecodeSpec{Needed: s.AllOrdinals()})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, r := range got {
+		for _, r := range got.Rows {
 			if !bytes.Equal(canonical(s, r), canonical(s, rows[at])) {
 				t.Fatalf("fixture page %d row %d mismatch", p, at)
 			}

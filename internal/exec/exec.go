@@ -165,6 +165,19 @@ func CountMatching(db *catalog.Database, table string, preds []workload.Predicat
 	return n, nil
 }
 
+// checkWritePreds rejects a write whose predicate names a column the table
+// lacks. Predicate.Matches reads a missing column as false, so without this
+// check the statement would silently match nothing, where the same predicate
+// on a SELECT errors.
+func checkWritePreds(t *catalog.Table, preds []workload.Predicate) error {
+	for _, p := range preds {
+		if t.Schema.ColIndex(p.Col) < 0 {
+			return fmt.Errorf("exec: table %q has no column %q", t.Name, p.Col)
+		}
+	}
+	return nil
+}
+
 func matchesAll(s *storage.Schema, r storage.Row, preds []workload.Predicate) bool {
 	for _, p := range preds {
 		if !p.Matches(s, r) {
@@ -183,6 +196,9 @@ func RunUpdate(db *catalog.Database, u *workload.Update) (int64, error) {
 	t := db.Table(u.Table)
 	if t == nil {
 		return 0, fmt.Errorf("exec: unknown table %q", u.Table)
+	}
+	if err := checkWritePreds(t, u.Preds); err != nil {
+		return 0, err
 	}
 	type setIdx struct {
 		col int
@@ -230,6 +246,9 @@ func RunDelete(db *catalog.Database, d *workload.Delete) (int64, error) {
 	t := db.Table(d.Table)
 	if t == nil {
 		return 0, fmt.Errorf("exec: unknown table %q", d.Table)
+	}
+	if err := checkWritePreds(t, d.Preds); err != nil {
+		return 0, err
 	}
 	kept := t.Rows[:0]
 	for _, r := range t.Rows {

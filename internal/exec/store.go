@@ -622,6 +622,9 @@ func (st *Store) runWrite(table string, preds []workload.Predicate, apply func()
 	if t == nil {
 		return 0, rs.io, fmt.Errorf("exec: unknown table %q", table)
 	}
+	if err := checkWritePreds(t, preds); err != nil {
+		return 0, rs.io, err
+	}
 	src, err := st.accessStream(rs, table, preds, t.Schema.Names(), false)
 	if err != nil {
 		return 0, rs.io, err

@@ -354,3 +354,62 @@ func TestStoreUnknownTableErrors(t *testing.T) {
 		t.Fatal("store accepted a query over an unknown table")
 	}
 }
+
+// TestStoreWriteUnknownPredColumnErrors pins the write-side column check: an
+// UPDATE or DELETE whose predicate names a column the table lacks must fail
+// from both the oracle and the store, before anything is changed, exactly
+// as the same predicate on a SELECT does.
+func TestStoreWriteUnknownPredColumnErrors(t *testing.T) {
+	cfg := datagen.TPCHConfig{LineitemRows: 1000, Seed: 17}
+	oracleDB := datagen.NewTPCH(cfg)
+	storeDB := datagen.NewTPCH(cfg)
+	st, err := NewStore(storeDB, tpchDesign())
+	if err != nil {
+		t.Fatal(err)
+	}
+	preds := []workload.Predicate{{Col: "nosuch", Op: workload.OpEq, Lo: storage.IntVal(3)}}
+	upd := &workload.Update{Table: "lineitem", Preds: preds,
+		Set: []workload.Assignment{{Col: "l_quantity", Value: storage.IntVal(1)}}}
+	del := &workload.Delete{Table: "lineitem", Preds: preds}
+	before := append([]storage.Row(nil), storeDB.Table("lineitem").Rows...)
+	if _, err := RunUpdate(oracleDB, upd); err == nil {
+		t.Error("oracle UPDATE with an unknown predicate column did not error")
+	}
+	if _, err := RunDelete(oracleDB, del); err == nil {
+		t.Error("oracle DELETE with an unknown predicate column did not error")
+	}
+	if _, io, err := st.RunUpdate(upd); err == nil {
+		t.Error("store UPDATE with an unknown predicate column did not error")
+	} else if io.PageReads != 0 {
+		t.Errorf("store UPDATE read %d pages before failing", io.PageReads)
+	}
+	if _, io, err := st.RunDelete(del); err == nil {
+		t.Error("store DELETE with an unknown predicate column did not error")
+	} else if io.PageReads != 0 {
+		t.Errorf("store DELETE read %d pages before failing", io.PageReads)
+	}
+	for _, side := range []struct {
+		name string
+		db   *catalog.Database
+	}{{"oracle", oracleDB}, {"store", storeDB}} {
+		name, after := side.name, side.db.Table("lineitem").Rows
+		if len(after) != len(before) {
+			t.Fatalf("%s: lineitem has %d rows after the failed writes, want %d", name, len(after), len(before))
+		}
+		li := side.db.Table("lineitem").Schema
+		for i := range before {
+			if !bytes.Equal(storage.EncodeRow(li, after[i], nil), storage.EncodeRow(li, before[i], nil)) {
+				t.Fatalf("%s: lineitem row %d changed by a failed write", name, i)
+			}
+		}
+	}
+	got, err := st.RunQuery(q(t, "SELECT COUNT(*) FROM lineitem WHERE l_quantity = 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Run(oracleDB, q(t, "SELECT COUNT(*) FROM lineitem WHERE l_quantity = 1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertResultsIdentical(t, "after failed writes", got, want)
+}

@@ -106,11 +106,11 @@ func TestSeekPagesCoversAllMatches(t *testing.T) {
 		lo, hi := si.SeekPages(bound, true, bound, true)
 		var inRange, total int64
 		for p := 0; p < si.Seg.NumPages(); p++ {
-			rows, err := si.Seg.DecodePage(p)
+			dp, err := si.Seg.DecodeColumnsPage(p, &storage.DecodeSpec{Needed: si.Seg.Schema.AllOrdinals()})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, r := range rows {
+			for _, r := range dp.Rows {
 				if r[0].Compare(bound) == 0 {
 					total++
 					if p >= lo && p < hi {

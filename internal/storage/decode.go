@@ -137,46 +137,3 @@ func (s *Schema) AllOrdinals() []int {
 	}
 	return out
 }
-
-// FallbackDecodeColumns implements DecodeColumns on top of a full page
-// decode, for codecs whose physical layout is row-major (NONE, ROW) and
-// cannot skip columns. The slot filter and predicates are applied after the
-// fact; the counters charge the full decode honestly (every row, every
-// column), which is exactly what makes PAGE's selective decode visible in
-// the I/O accounting.
-func FallbackDecodeColumns(s *Schema, full []Row, spec *DecodeSpec) *DecodedPage {
-	// A full decode materializes every row and touches every column payload
-	// once per page.
-	out := &DecodedPage{
-		TuplesDecoded:  int64(len(full)),
-		ColumnsDecoded: int64(len(s.Columns)),
-	}
-	si := 0
-	for slot, r := range full {
-		if spec.Slots != nil {
-			for si < len(spec.Slots) && spec.Slots[si] < slot {
-				si++
-			}
-			if si >= len(spec.Slots) || spec.Slots[si] != slot {
-				continue
-			}
-		}
-		ok := true
-		for _, p := range spec.Preds {
-			if !p.Matches(r[p.Col]) {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		pr := make(Row, len(spec.Needed))
-		for j, ci := range spec.Needed {
-			pr[j] = r[ci]
-		}
-		out.Rows = append(out.Rows, pr)
-		out.Slots = append(out.Slots, slot)
-	}
-	return out
-}

@@ -8,41 +8,39 @@ import (
 )
 
 // SegmentFile is the on-disk form of a Segment: a header carrying the codec
-// method, page count and row count, a per-page directory (payload offset,
-// length, row count, accounted bytes, CRC32), a header checksum, and then
-// the raw page payloads. Pages are read back individually via ReadAt, so a
-// buffer pool can fault in exactly the pages a query touches.
+// method, the per-column design vector, the codec state block, the page
+// count and row count, a per-page directory (payload offset, length, row
+// count, accounted bytes, CRC32), a header checksum, and then the raw page
+// payloads. Pages are read back individually via ReadAt, so a buffer pool
+// can fault in exactly the pages a query touches.
 //
-// Version 1 layout (all integers big-endian):
+// Layout (all integers big-endian):
 //
-//	[0:8)    magic "CADBSEG1"
-//	[8:12)   format version (1)
+//	[0:8)    magic "CADBSEG2"
+//	[8:12)   format version (2)
 //	[12:16)  codec name length L
 //	[16:16+L codec name
+//	+0:2     column count C; per column: u8 name length | name | u8 method
+//	+0:4     state length S | codec state block (the global dictionaries)
 //	+0:4     page count N
 //	+4:12    row count
 //	then N directory entries of 24 bytes each:
 //	         offset u64 | length u32 | rows u32 | accounted u32 | crc32 u32
 //	+4       CRC32 (IEEE) of everything before it
-//	then the page payloads at their directory offsets.
+//	then the page payloads, back to back at their directory offsets.
 //
-// Version 2 ("CADBSEG2", written for stateful codecs — GDICT, RLE and mixed
-// per-column designs) inserts two blocks between the codec name and the page
-// count:
-//
-//	u16 column count; per column: u8 name length | name | u8 method
-//	u32 state length | codec state block (the global dictionaries)
-//
-// Everything else — directory, checksums, payload placement — is identical,
-// and OpenSegmentFile keeps reading version 1 files unchanged.
+// Stateful codecs (GDICT, RLE and mixed per-column designs) record their
+// method vector and state; stateless NONE/ROW/PAGE files carry C = 0 and
+// S = 0. Version 1 ("CADBSEG1") is the same layout without the design and
+// state blocks; it is no longer written, and OpenSegmentFile still reads it.
 type SegmentFile struct {
 	f         *os.File
 	path      string
 	codecName string
 	rows      int64
 	entries   []segPageEntry
-	design    []SegColumnMethod // per-column method vector (v2 only)
-	state     []byte            // codec state block (v2 only)
+	design    []SegColumnMethod // per-column method vector (stateful codecs)
+	state     []byte            // codec state block (stateful codecs)
 }
 
 // SegColumnMethod is one entry of a CADBSEG2 design vector: a column name and
@@ -61,17 +59,14 @@ type segPageEntry struct {
 }
 
 var (
-	segMagic  = [8]byte{'C', 'A', 'D', 'B', 'S', 'E', 'G', '1'}
+	segMagic1 = [8]byte{'C', 'A', 'D', 'B', 'S', 'E', 'G', '1'}
 	segMagic2 = [8]byte{'C', 'A', 'D', 'B', 'S', 'E', 'G', '2'}
 )
 
-const (
-	segFileVersion  = 1
-	segFileVersion2 = 2
-)
+const segDirEntryLen = 24
 
 // segDesign extracts the design vector and state block a segment file must
-// record for its codec: nil for stateless codecs (written as version 1).
+// record for its codec: nil for stateless codecs.
 func segDesign(c PageCodec, s *Schema) ([]SegColumnMethod, []byte) {
 	sc, ok := c.(StatefulCodec)
 	if !ok {
@@ -85,59 +80,75 @@ func segDesign(c PageCodec, s *Schema) ([]SegColumnMethod, []byte) {
 	return design, sc.SegmentState()
 }
 
-// segHeaderPrefix assembles the header bytes that precede the page directory:
-// version 1 when design is nil, version 2 otherwise.
-func segHeaderPrefix(name string, design []SegColumnMethod, state []byte, pageCount int, rows int64) ([]byte, error) {
+// segHeader assembles the complete header of a segment file, directory and
+// checksum included. The entries' offsets come in relative to the first
+// payload byte and are rebased in place onto the end of the header.
+func segHeader(name string, design []SegColumnMethod, state []byte, entries []segPageEntry, rows int64) ([]byte, error) {
 	if len(name) > 255 {
 		return nil, fmt.Errorf("storage: codec name %q too long", name)
 	}
-	var h []byte
-	if design == nil {
-		h = append(h, segMagic[:]...)
-		h = binary.BigEndian.AppendUint32(h, segFileVersion)
-		h = binary.BigEndian.AppendUint32(h, uint32(len(name)))
-		h = append(h, name...)
-	} else {
-		if len(design) > 0xFFFF {
-			return nil, fmt.Errorf("storage: design vector of %d columns", len(design))
-		}
-		h = append(h, segMagic2[:]...)
-		h = binary.BigEndian.AppendUint32(h, segFileVersion2)
-		h = binary.BigEndian.AppendUint32(h, uint32(len(name)))
-		h = append(h, name...)
-		h = binary.BigEndian.AppendUint16(h, uint16(len(design)))
-		for _, cm := range design {
-			if len(cm.Name) > 255 {
-				return nil, fmt.Errorf("storage: column name %q too long", cm.Name)
-			}
-			h = append(h, byte(len(cm.Name)))
-			h = append(h, cm.Name...)
-			h = append(h, cm.Method)
-		}
-		h = binary.BigEndian.AppendUint32(h, uint32(len(state)))
-		h = append(h, state...)
+	if len(design) > 0xFFFF {
+		return nil, fmt.Errorf("storage: design vector of %d columns", len(design))
 	}
-	h = binary.BigEndian.AppendUint32(h, uint32(pageCount))
+	h := append([]byte(nil), segMagic2[:]...)
+	h = binary.BigEndian.AppendUint32(h, 2)
+	h = binary.BigEndian.AppendUint32(h, uint32(len(name)))
+	h = append(h, name...)
+	h = binary.BigEndian.AppendUint16(h, uint16(len(design)))
+	for _, cm := range design {
+		if len(cm.Name) > 255 {
+			return nil, fmt.Errorf("storage: column name %q too long", cm.Name)
+		}
+		h = append(h, byte(len(cm.Name)))
+		h = append(h, cm.Name...)
+		h = append(h, cm.Method)
+	}
+	h = binary.BigEndian.AppendUint32(h, uint32(len(state)))
+	h = append(h, state...)
+	h = binary.BigEndian.AppendUint32(h, uint32(len(entries)))
 	h = binary.BigEndian.AppendUint64(h, uint64(rows))
-	return h, nil
+	base := uint64(len(h) + segDirEntryLen*len(entries) + 4)
+	for i := range entries {
+		e := &entries[i]
+		e.offset += base
+		h = binary.BigEndian.AppendUint64(h, e.offset)
+		h = binary.BigEndian.AppendUint32(h, e.length)
+		h = binary.BigEndian.AppendUint32(h, e.rows)
+		h = binary.BigEndian.AppendUint32(h, e.accounted)
+		h = binary.BigEndian.AppendUint32(h, e.crc)
+	}
+	return binary.BigEndian.AppendUint32(h, crc32.ChecksumIEEE(h)), nil
+}
+
+// createSegFile writes a segment file at path (truncating any previous
+// file): the header, then the payloads body writes, then one fsync. On
+// failure the partial file is removed.
+func createSegFile(path string, header []byte, body func(f *os.File) error) (*os.File, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	if _, err = f.Write(header); err == nil {
+		err = body(f)
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if err != nil {
+		_ = f.Close() // best-effort cleanup; err is the story
+		os.Remove(path)
+		return nil, err
+	}
+	adviseRandom(f)
+	return f, nil
 }
 
 // WriteSegmentFile writes the segment's pages to path (truncating any
 // previous file) and returns an open handle for reads. The segment must
 // still hold its payloads (i.e. not already be spilled).
 func WriteSegmentFile(path string, seg *Segment) (*SegmentFile, error) {
-	name := seg.Codec.Name()
-	design, state := segDesign(seg.Codec, seg.Schema)
-	prefix, err := segHeaderPrefix(name, design, state, len(seg.pages), seg.rows)
-	if err != nil {
-		return nil, err
-	}
-	headerLen := len(prefix) + 24*len(seg.pages) + 4
-	header := make([]byte, 0, headerLen)
-	header = append(header, prefix...)
-
 	entries := make([]segPageEntry, len(seg.pages))
-	at := uint64(headerLen)
+	var at uint64
 	for i := range seg.pages {
 		p := &seg.pages[i]
 		if p.Payload == nil && p.Rows > 0 {
@@ -151,41 +162,29 @@ func WriteSegmentFile(path string, seg *Segment) (*SegmentFile, error) {
 			crc:       crc32.ChecksumIEEE(p.Payload),
 		}
 		at += uint64(len(p.Payload))
-		header = binary.BigEndian.AppendUint64(header, entries[i].offset)
-		header = binary.BigEndian.AppendUint32(header, entries[i].length)
-		header = binary.BigEndian.AppendUint32(header, entries[i].rows)
-		header = binary.BigEndian.AppendUint32(header, entries[i].accounted)
-		header = binary.BigEndian.AppendUint32(header, entries[i].crc)
 	}
-	header = binary.BigEndian.AppendUint32(header, crc32.ChecksumIEEE(header))
-	if len(header) != headerLen {
-		return nil, fmt.Errorf("storage: header length %d, computed %d", len(header), headerLen)
-	}
-
-	f, err := os.Create(path)
+	name := seg.Codec.Name()
+	design, state := segDesign(seg.Codec, seg.Schema)
+	header, err := segHeader(name, design, state, entries, seg.rows)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.Write(header); err != nil {
-		_ = f.Close() // best-effort cleanup; the write error is the story
-		return nil, err
-	}
-	for i := range seg.pages {
-		if _, err := f.Write(seg.pages[i].Payload); err != nil {
-			_ = f.Close() // best-effort cleanup; the write error is the story
-			return nil, err
+	f, err := createSegFile(path, header, func(f *os.File) error {
+		for i := range seg.pages {
+			if _, err := f.Write(seg.pages[i].Payload); err != nil {
+				return err
+			}
 		}
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close() // best-effort cleanup; the sync error is the story
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	adviseRandom(f)
 	return &SegmentFile{f: f, path: path, codecName: name, rows: seg.rows, entries: entries, design: design, state: state}, nil
 }
 
 // OpenSegmentFile opens an existing segment file, validating the header
-// checksum.
+// checksum and the directory against the file size.
 func OpenSegmentFile(path string) (*SegmentFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -200,149 +199,116 @@ func OpenSegmentFile(path string) (*SegmentFile, error) {
 	return sf, nil
 }
 
+// readSegHeader parses the header of a version-1 or version-2 segment file.
+// The variable-length fields force incremental reads; each read is checked
+// against the file size before its buffer is allocated, so a hostile length
+// fails instead of driving a large allocation. Every byte read accumulates
+// into hdr so the trailing CRC covers the whole header.
 func readSegHeader(f *os.File, path string) (*SegmentFile, error) {
-	fixed := make([]byte, 16)
-	if _, err := f.ReadAt(fixed, 0); err != nil {
-		return nil, fmt.Errorf("storage: %s: short header: %w", path, err)
-	}
-	switch [8]byte(fixed[:8]) {
-	case segMagic:
-		if v := binary.BigEndian.Uint32(fixed[8:12]); v != segFileVersion {
-			return nil, fmt.Errorf("storage: %s: unsupported version %d", path, v)
-		}
-	case segMagic2:
-		if v := binary.BigEndian.Uint32(fixed[8:12]); v != segFileVersion2 {
-			return nil, fmt.Errorf("storage: %s: unsupported version %d", path, v)
-		}
-		return readSegHeaderV2(f, path, fixed)
-	default:
-		return nil, fmt.Errorf("storage: %s: bad magic", path)
-	}
-	nameLen := int(binary.BigEndian.Uint32(fixed[12:16]))
-	if nameLen > 255 {
-		return nil, fmt.Errorf("storage: %s: codec name length %d", path, nameLen)
-	}
-	rest := make([]byte, nameLen+4+8)
-	if _, err := f.ReadAt(rest, 16); err != nil {
-		return nil, fmt.Errorf("storage: %s: short header: %w", path, err)
-	}
-	name := string(rest[:nameLen])
-	n := int(binary.BigEndian.Uint32(rest[nameLen : nameLen+4]))
-	rows := int64(binary.BigEndian.Uint64(rest[nameLen+4:]))
-	dirAt := int64(16 + nameLen + 4 + 8)
-	dir := make([]byte, 24*n+4)
-	if _, err := f.ReadAt(dir, dirAt); err != nil {
-		return nil, fmt.Errorf("storage: %s: short directory: %w", path, err)
-	}
-	// Verify the header CRC over [0, dirAt+24n).
-	full := make([]byte, dirAt+int64(24*n))
-	copy(full, fixed)
-	copy(full[16:], rest)
-	copy(full[dirAt:], dir[:24*n])
-	wantCRC := binary.BigEndian.Uint32(dir[24*n:])
-	if got := crc32.ChecksumIEEE(full); got != wantCRC {
-		return nil, fmt.Errorf("storage: %s: header checksum mismatch", path)
-	}
-	entries, err := parseSegDir(dir, n)
+	fi, err := f.Stat()
 	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", path, err)
+		return nil, err
 	}
-	return &SegmentFile{f: f, path: path, codecName: name, rows: rows, entries: entries}, nil
-}
-
-// readSegHeaderV2 parses a CADBSEG2 header. The variable-length design and
-// state blocks force incremental reads; every byte read is accumulated so
-// the trailing CRC covers the whole header, exactly like version 1.
-func readSegHeaderV2(f *os.File, path string, fixed []byte) (*SegmentFile, error) {
-	hdr := append([]byte(nil), fixed...)
-	at := int64(len(fixed))
-	read := func(n int) ([]byte, error) {
-		buf := make([]byte, n)
-		if n > 0 {
-			if _, err := f.ReadAt(buf, at); err != nil {
-				return nil, fmt.Errorf("storage: %s: short header: %w", path, err)
-			}
+	size := fi.Size()
+	var hdr []byte
+	read := func(n int64) ([]byte, error) {
+		at := int64(len(hdr))
+		if n > size-at {
+			return nil, fmt.Errorf("storage: %s: header field of %d bytes at %d overruns the %d-byte file", path, n, at, size)
 		}
-		at += int64(n)
+		buf := make([]byte, n)
+		if _, err := f.ReadAt(buf, at); err != nil {
+			return nil, fmt.Errorf("storage: %s: short header: %w", path, err)
+		}
 		hdr = append(hdr, buf...)
 		return buf, nil
 	}
-	nameLen := int(binary.BigEndian.Uint32(fixed[12:16]))
+	b, err := read(16)
+	if err != nil {
+		return nil, err
+	}
+	v2 := [8]byte(b[:8]) == segMagic2
+	if !v2 && [8]byte(b[:8]) != segMagic1 {
+		return nil, fmt.Errorf("storage: %s: bad magic", path)
+	}
+	version := uint32(1)
+	if v2 {
+		version = 2
+	}
+	if v := binary.BigEndian.Uint32(b[8:12]); v != version {
+		return nil, fmt.Errorf("storage: %s: unsupported version %d", path, v)
+	}
+	nameLen := int64(binary.BigEndian.Uint32(b[12:16]))
 	if nameLen > 255 {
 		return nil, fmt.Errorf("storage: %s: codec name length %d", path, nameLen)
 	}
-	b, err := read(nameLen + 2)
-	if err != nil {
+	if b, err = read(nameLen); err != nil {
 		return nil, err
 	}
-	name := string(b[:nameLen])
-	colCount := int(binary.BigEndian.Uint16(b[nameLen:]))
-	design := make([]SegColumnMethod, colCount)
-	for i := range design {
-		lb, err := read(1)
-		if err != nil {
+	sf := &SegmentFile{f: f, path: path, codecName: string(b)}
+	if v2 {
+		if b, err = read(2); err != nil {
 			return nil, err
 		}
-		nb, err := read(int(lb[0]) + 1)
-		if err != nil {
+		for i := int(binary.BigEndian.Uint16(b)); i > 0; i-- {
+			if b, err = read(1); err != nil {
+				return nil, err
+			}
+			if b, err = read(int64(b[0]) + 1); err != nil {
+				return nil, err
+			}
+			sf.design = append(sf.design, SegColumnMethod{Name: string(b[:len(b)-1]), Method: b[len(b)-1]})
+		}
+		if b, err = read(4); err != nil {
 			return nil, err
 		}
-		design[i] = SegColumnMethod{Name: string(nb[:len(nb)-1]), Method: nb[len(nb)-1]}
+		if b, err = read(int64(binary.BigEndian.Uint32(b))); err != nil {
+			return nil, err
+		}
+		if len(b) > 0 {
+			sf.state = b
+		}
 	}
-	sb, err := read(4)
-	if err != nil {
+	if b, err = read(12); err != nil {
 		return nil, err
 	}
-	stateLen := int(binary.BigEndian.Uint32(sb))
-	if stateLen > 1<<30 {
-		return nil, fmt.Errorf("storage: %s: state block of %d bytes", path, stateLen)
-	}
-	state, err := read(stateLen)
-	if err != nil {
+	n := int64(binary.BigEndian.Uint32(b[:4]))
+	sf.rows = int64(binary.BigEndian.Uint64(b[4:]))
+	dirAt := int64(len(hdr))
+	if _, err = read(segDirEntryLen*n + 4); err != nil {
 		return nil, err
 	}
-	cb, err := read(4 + 8)
-	if err != nil {
-		return nil, err
-	}
-	n := int(binary.BigEndian.Uint32(cb[:4]))
-	rows := int64(binary.BigEndian.Uint64(cb[4:]))
-	dir := make([]byte, 24*n+4)
-	if _, err := f.ReadAt(dir, at); err != nil {
-		return nil, fmt.Errorf("storage: %s: short directory: %w", path, err)
-	}
-	hdr = append(hdr, dir[:24*n]...)
-	wantCRC := binary.BigEndian.Uint32(dir[24*n:])
-	if got := crc32.ChecksumIEEE(hdr); got != wantCRC {
+	body := hdr[:len(hdr)-4]
+	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(hdr[len(body):]) {
 		return nil, fmt.Errorf("storage: %s: header checksum mismatch", path)
 	}
-	entries, err := parseSegDir(dir, n)
-	if err != nil {
-		return nil, fmt.Errorf("storage: %s: %w", path, err)
-	}
-	if stateLen == 0 {
-		state = nil
-	}
-	return &SegmentFile{f: f, path: path, codecName: name, rows: rows, entries: entries, design: design, state: state}, nil
-}
-
-// parseSegDir decodes n 24-byte directory entries.
-func parseSegDir(dir []byte, n int) ([]segPageEntry, error) {
-	if len(dir) < 24*n {
-		return nil, fmt.Errorf("short directory")
-	}
-	entries := make([]segPageEntry, n)
-	for i := 0; i < n; i++ {
-		e := dir[24*i:]
-		entries[i] = segPageEntry{
+	// Payloads sit back to back after the header (both versions' writers lay
+	// them out so, and ReadPageSpan relies on it); anything else is corrupt.
+	sf.entries = make([]segPageEntry, n)
+	next := uint64(len(hdr))
+	var rows int64
+	for i := range sf.entries {
+		e := body[dirAt+segDirEntryLen*int64(i):]
+		sf.entries[i] = segPageEntry{
 			offset:    binary.BigEndian.Uint64(e[0:8]),
 			length:    binary.BigEndian.Uint32(e[8:12]),
 			rows:      binary.BigEndian.Uint32(e[12:16]),
 			accounted: binary.BigEndian.Uint32(e[16:20]),
 			crc:       binary.BigEndian.Uint32(e[20:24]),
 		}
+		if sf.entries[i].offset != next {
+			return nil, fmt.Errorf("storage: %s: page %d at offset %d, want %d", path, i, sf.entries[i].offset, next)
+		}
+		next += uint64(sf.entries[i].length)
+		rows += int64(sf.entries[i].rows)
 	}
-	return entries, nil
+	if next > uint64(size) {
+		return nil, fmt.Errorf("storage: %s: directory addresses %d bytes of a %d-byte file", path, next, size)
+	}
+	if rows != sf.rows {
+		return nil, fmt.Errorf("storage: %s: header says %d rows, directory holds %d", path, sf.rows, rows)
+	}
+	return sf, nil
 }
 
 // NumPages returns the page count.
@@ -354,12 +320,12 @@ func (sf *SegmentFile) Rows() int64 { return sf.rows }
 // CodecName returns the codec method name recorded in the header.
 func (sf *SegmentFile) CodecName() string { return sf.codecName }
 
-// Design returns the per-column method vector recorded in a CADBSEG2 header
-// (nil for version-1 files).
+// Design returns the per-column method vector recorded in the header (nil
+// for stateless designs and version-1 files).
 func (sf *SegmentFile) Design() []SegColumnMethod { return sf.design }
 
-// State returns the codec state block recorded in a CADBSEG2 header (nil for
-// version-1 files and stateless designs). Feed it to the codec's
+// State returns the codec state block recorded in the header (nil for
+// stateless designs and version-1 files). Feed it to the codec's
 // LoadSegmentState to decode the file's pages in a fresh process.
 func (sf *SegmentFile) State() []byte { return sf.state }
 

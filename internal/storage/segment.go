@@ -11,21 +11,21 @@ import (
 // live in internal/compress (one per materializable compression method, plus
 // the per-column design codec behind GDICT/RLE/mixed designs); the codec owns
 // the packing policy so order-dependent methods can mirror the grouping their
-// size model assumes.
+// size model assumes. DecodeColumns is the only decode entry point: a full
+// decode is a DecodeColumns over Schema.AllOrdinals.
 type PageCodec interface {
 	// Name is the method name ("NONE", "ROW", "PAGE", "GDICT", "RLE") or
 	// "MIXED" for a per-column design.
 	Name() string
 	// EncodeRows packs the rows into page payloads. Each payload must be
-	// decodable by DecodePage on its own.
+	// decodable by DecodeColumns on its own (given the codec's segment
+	// state, for a StatefulCodec).
 	EncodeRows(s *Schema, rows []Row) ([]EncodedPage, error)
-	// DecodePage reconstructs the rows of one page payload.
-	DecodePage(s *Schema, payload []byte, nrows int) ([]Row, error)
 	// DecodeColumns reconstructs only the spec.Needed columns of the rows
-	// that satisfy spec's predicates and slot filter. Codecs without a
-	// column-selective layout fall back to a full decode internally (see
-	// FallbackDecodeColumns) so the interface stays uniform; the returned
-	// counters report the work actually done.
+	// that satisfy spec's predicates and slot filter. Row-major codecs walk
+	// every column of every row regardless; the returned counters report
+	// the work actually done. A malformed payload or an nrows the payload
+	// cannot hold is an error, never a panic.
 	DecodeColumns(s *Schema, payload []byte, nrows int, spec *DecodeSpec) (*DecodedPage, error)
 }
 
@@ -42,10 +42,11 @@ type SegmentPreparer interface {
 
 // StatefulCodec is an optional PageCodec extension for codecs carrying
 // segment-level state that pages alone cannot reproduce (e.g. a global
-// dictionary). Segments built with a stateful codec are written in the
-// CADBSEG2 format, which records the per-column method vector and the state
-// block; LoadSegmentState rebuilds a fresh codec instance from that block so
-// a segment file opened in another process can be decoded.
+// dictionary). Every segment file is written in the CADBSEG2 format; for a
+// stateful codec its header records the per-column method vector and the
+// state block (stateless codecs write an empty vector and block), and
+// LoadSegmentState rebuilds a fresh codec instance from that block so a
+// segment file opened in another process can be decoded.
 type StatefulCodec interface {
 	// SegmentState serializes the codec's segment-level state (nil when the
 	// design has none to record).
@@ -367,16 +368,6 @@ func (g *Segment) PrefetchSpan(lo, hi int) (pages int, bytes int64, err error) {
 	return pages, bytes, err
 }
 
-// DecodePage decodes page i back into rows.
-func (g *Segment) DecodePage(i int) ([]Row, error) {
-	payload, release, err := g.FetchPage(i, nil)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	return g.Codec.DecodePage(g.Schema, payload, g.pages[i].Rows)
-}
-
 // DecodeColumnsPage runs a column-selective decode of page i.
 func (g *Segment) DecodeColumnsPage(i int, spec *DecodeSpec) (*DecodedPage, error) {
 	payload, release, err := g.FetchPage(i, nil)
@@ -387,16 +378,18 @@ func (g *Segment) DecodeColumnsPage(i int, spec *DecodeSpec) (*DecodedPage, erro
 	return g.Codec.DecodeColumns(g.Schema, payload, g.pages[i].Rows, spec)
 }
 
-// ScanAll decodes every page in order — the full-scan access path without
-// accounting (callers that need PageReads counters decode page by page).
+// ScanAll decodes every column of every page in order — the full-scan access
+// path without accounting (callers that need PageReads counters decode page
+// by page).
 func (g *Segment) ScanAll() ([]Row, error) {
 	out := make([]Row, 0, g.rows)
+	spec := &DecodeSpec{Needed: g.Schema.AllOrdinals()}
 	for i := range g.pages {
-		rows, err := g.DecodePage(i)
+		dp, err := g.DecodeColumnsPage(i, spec)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rows...)
+		out = append(out, dp.Rows...)
 	}
 	return out, nil
 }

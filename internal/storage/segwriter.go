@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -137,46 +136,21 @@ func (w *SegmentWriter) Finish(pool *bufferpool.Pool) (*Segment, error) {
 
 	name := w.codec.Name()
 	design, state := segDesign(w.codec, w.schema)
-	prefix, err := segHeaderPrefix(name, design, state, len(w.entries), w.rows)
+	header, err := segHeader(name, design, state, w.entries, w.rows)
 	if err != nil {
 		w.Abort()
 		return nil, err
 	}
-	headerLen := len(prefix) + 24*len(w.entries) + 4
-	header := make([]byte, 0, headerLen)
-	header = append(header, prefix...)
-	for i := range w.entries {
-		w.entries[i].offset += uint64(headerLen)
-		header = binary.BigEndian.AppendUint64(header, w.entries[i].offset)
-		header = binary.BigEndian.AppendUint32(header, w.entries[i].length)
-		header = binary.BigEndian.AppendUint32(header, w.entries[i].rows)
-		header = binary.BigEndian.AppendUint32(header, w.entries[i].accounted)
-		header = binary.BigEndian.AppendUint32(header, w.entries[i].crc)
-	}
-	header = binary.BigEndian.AppendUint32(header, crc32.ChecksumIEEE(header))
-
-	f, err := os.Create(w.path)
+	f, err := createSegFile(w.path, header, func(f *os.File) error {
+		if _, err := w.spool.Seek(0, io.SeekStart); err != nil {
+			return err
+		}
+		_, err := io.Copy(f, w.spool)
+		return err
+	})
 	if err != nil {
 		w.Abort()
 		return nil, err
-	}
-	fail := func(err error) (*Segment, error) {
-		_ = f.Close() // best-effort cleanup; err is the story
-		os.Remove(w.path)
-		w.Abort()
-		return nil, err
-	}
-	if _, err := f.Write(header); err != nil {
-		return fail(err)
-	}
-	if _, err := w.spool.Seek(0, io.SeekStart); err != nil {
-		return fail(err)
-	}
-	if _, err := io.Copy(f, w.spool); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
 	}
 	// The spool's bytes are already copied into f and synced; its close
 	// error cannot affect the finished segment.
@@ -184,7 +158,6 @@ func (w *SegmentWriter) Finish(pool *bufferpool.Pool) (*Segment, error) {
 	os.Remove(w.spool.Name())
 	w.spool = nil
 
-	adviseRandom(f)
 	sf := &SegmentFile{f: f, path: w.path, codecName: name, rows: w.rows, entries: w.entries, design: design, state: state}
 	seg := &Segment{Schema: w.schema, Codec: w.codec, pages: w.pages, rows: w.rows}
 	seg.starts = make([]int64, len(w.pages)+1)

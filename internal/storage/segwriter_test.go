@@ -143,12 +143,12 @@ func TestPrefetcherWarmsScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := seg.Codec.DecodePage(seg.Schema, payload, seg.PageRows(i))
+		dp, err := seg.Codec.DecodeColumns(seg.Schema, payload, seg.PageRows(i), &DecodeSpec{Needed: seg.Schema.AllOrdinals()})
 		release()
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = append(got, rs...)
+		got = append(got, dp.Rows...)
 	}
 	pf.Close(&io)
 	if len(got) != len(rows) {
